@@ -157,8 +157,9 @@ class TemporalDatabase:
         #: lets the parallel worker pool detect that its forked
         #: snapshot went stale.
         self._op_count = 0
-        #: The persistent scatter-gather worker pool, lazily forked by
-        #: ``parallel.pool_for`` on the first eligible scan.
+        #: The persistent scatter-gather ``SnapshotPool``, lazily
+        #: forked by ``parallel.snapshot_pool`` on the first eligible
+        #: scan.
         self._parallel_pool = None
         #: How many live histories are segment-backed (cold prefix on
         #: disk); maintained by checkpoint spills and recovery, read by

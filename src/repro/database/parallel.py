@@ -1,62 +1,75 @@
-"""Parallel scatter-gather execution over hash-partitioned extents.
+"""Fork-snapshot worker pools: scatter-gather and served reads.
 
-Low-selectivity work -- a 100%-selectivity extent sweep, a quantified
-``ALWAYS``/``SOMETIME`` scope (the paper's Def 6 temporal quantifiers),
-a full integrity check -- is embarrassingly per-tuple: every object of
-the extent is evaluated independently and the results are merged.  This
-module fans that work out across a pool of ``multiprocessing`` workers:
+CPython's GIL keeps threads from evaluating two queries at once, so
+the engine buys parallelism with processes, through one class:
+:class:`SnapshotPool` forks its workers *once* -- each child inherits
+the whole database as a copy-on-write snapshot -- and pins them to the
+database's *state version* ``(now, global generation, operation
+count)``.  :func:`snapshot_pool` is the one reuse decision: a live
+pool whose pin still matches is reused, anything else is retired and
+replaced by a fresh fork.  The pool has two uses:
 
-* **fork-once workers.**  The pool forks its workers *once* (the
-  ``fork`` start method; the child inherits the whole database as a
-  copy-on-write snapshot) and pins the snapshot to the database's
-  *state version* -- ``(now, global generation, operation count)`` --
-  at fork time.  Every scatter validates the pin first: a query
-  against a mutated database respawns the pool instead of reading a
-  stale snapshot, and an unmutated database reuses the same workers
-  for every query (``parallel.spawns`` counts forks; the E15 CI gate
-  holds it at exactly one per benchmark run).
-* **per-partition task framing.**  The caller's oid set is split by
-  the database's :class:`~repro.database.database.Partitioning` layer
-  (oid-serial hash, ``n_partitions`` auto-sized to cores), one task
-  frame per non-empty partition.  A frame carries the partition
-  *index*, not the oid slice -- the worker re-derives the identical
-  slice from its pinned snapshot, and scan matches travel back as
-  bare serials, keeping pickling off the critical path.  Workers
-  return ``(task id, partition, ok, value, busy_us)`` frames; stale
-  frames from an earlier, failed scatter are discarded by task id.
-* **ordered merge.**  Each worker walks its slice in oid order and the
-  gather concatenates slices in partition order, so the merged result
-  is deterministic and -- after the final sort -- byte-identical to
-  the serial path's output.
-* **graceful serial fallback.**  Any pool failure (fork unavailable,
-  a worker died, a task raised, the gather timed out) marks the pool
-  broken, ticks ``parallel.fallbacks``, and the caller re-runs the
-  work serially.  Parallelism is a pure optimization: it can never
-  change a result, only the wall-clock.
+* **scatter-gather** (:meth:`SnapshotPool.run`): many tasks for one
+  query, and the caller blocks until all are back.  Per-object work --
+  a 100%-selectivity sweep, a quantified ``ALWAYS``/``SOMETIME`` scope
+  (the paper's Def 6 quantifiers), an integrity check (Defs 5.1/5.2) --
+  is split by the database's
+  :class:`~repro.database.database.Partitioning`, one task per
+  non-empty partition.  A task carries the partition *index*; the
+  worker re-derives the identical slice from its snapshot, and scan
+  matches travel back as bare serials.  Slices are walked in oid order
+  and merged in partition order, so the result equals the serial
+  path's exactly.  ``parallel.spawns`` counts these pools (the E15
+  gate holds it at one per benchmark run).
+* **served reads** (:meth:`SnapshotPool.submit`): one whole-query task
+  per request, awaited on the event loop, which reads result frames
+  with ``loop.add_reader``.  A pool whose pin went stale after a write
+  is *retired*: its in-flight results drain, then its workers go.
+  ``server.executor_forks`` counts the workers forked for this use.
 
-Batches: during ``db.batch()`` cache maintenance is suspended and the
-in-memory state runs ahead of the coalesced reconciliation
-(:mod:`repro.database.batch`), so scatter is refused outright --
-``usable()`` is false while ``caches.suspended`` -- and the per-op
-serial path keeps the coalesced-delta discipline intact.
+Both uses speak the same frames over one duplex pipe per worker:
+``(task id, kind, payload)`` out, ``(task id, ok, value, busy_us)``
+back.  A worker runs one task at a time; the parent hands the backlog
+to whichever worker answers first.  No helper threads: nothing of
+ours holds a lock across a later fork, and a dead worker shows up at
+once as EOF on its pipe.
 
-Ablation: ``REPRO_NO_PARALLEL=1`` in the environment (read at import),
-or :func:`set_enabled` / :func:`disabled` -- the same switch shape as
-``query.planner`` / ``database.batch`` / ``repro.obs``.
+Child hygiene lives in one place, :func:`_enter_worker`: a worker
+drops its inherited pool handles and journal, resets SIGINT/SIGTERM
+to their defaults and clears the asyncio wakeup fd (a serving parent's
+handler would make it ignore SIGTERM), closes every inherited
+descriptor but its own pipe end and stdio (listeners, client sockets,
+other workers' pipes), exits on EOF from its pipe -- so it dies with
+its parent, however the parent died -- and leaves with ``os._exit``.
 
-Observability: the parent wraps the two halves of a scatter-gather in
-``parallel.scatter`` / ``parallel.gather`` spans; worker-reported busy
-times land in the ``parallel.partition`` histogram.  Utilization is
-derivable from the ``parallel.busy_us`` / ``parallel.wall_us`` metrics
+Any pool failure (no fork, a dead worker, a raising task, a gather
+timeout) closes the pool and ticks ``parallel.fallbacks``; the caller
+re-runs the work serially (a served read runs inline).  Parallelism
+never changes a result, only the wall-clock.  Scatter is refused while
+``db.batch()`` has cache maintenance suspended
+(:mod:`repro.database.batch`).
+
+Ablation: ``REPRO_NO_PARALLEL=1`` (read at import), or
+:func:`set_enabled` / :func:`disabled`, turns scatter-gather off;
+served reads are sized by the server's ``read_workers``.
+
+Observability: ``parallel.scatter`` / ``parallel.gather`` spans around
+the two halves of a scatter-gather, worker busy times in the
+``parallel.partition`` histogram, and utilization from the
+``parallel.busy_us`` / ``parallel.wall_us`` metrics
 (busy / (wall x degree)).
 """
 
 from __future__ import annotations
 
+import asyncio
+import itertools
 import os
-import queue as queue_mod
+import signal
 import time
+from collections import deque
 from contextlib import contextmanager
+from multiprocessing.connection import Pipe, wait
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro import perf
@@ -77,6 +90,8 @@ _SPAWNS = perf.metric("parallel.spawns")
 _FALLBACKS = perf.metric("parallel.fallbacks")
 _BUSY_US = perf.metric("parallel.busy_us")
 _WALL_US = perf.metric("parallel.wall_us")
+_FORKS = perf.metric("server.executor_forks")
+_EXEC_QUERIES = perf.metric("server.executor_queries")
 
 #: Extents below this size never scatter: the fork/IPC overhead cannot
 #: amortize over so little per-tuple work.
@@ -92,12 +107,12 @@ SCATTER_OVERHEAD = 1500.0
 #: segment of the object instead of evaluating one instant.
 QUANTIFIED_FACTOR = 8.0
 
-#: Per-shipped-oid cost (pickle + queue transfer), in cost units.
+#: Per-shipped-oid cost (pickle + pipe transfer), in cost units.
 SHIP_COST = 0.25
 
 #: How long the gather waits for worker frames before declaring the
-#: pool wedged (liveness is checked on every poll miss, so a *dead*
-#: pool fails fast -- this bound only matters for a livelocked one).
+#: pool wedged (a *dead* worker's pipe reaches EOF at once, so this
+#: bound only matters for a livelocked one).
 GATHER_TIMEOUT_S = 120.0
 
 
@@ -124,8 +139,23 @@ def default_partitions() -> int:
     return max(os.cpu_count() or 1, 1)
 
 
+def fork_available() -> bool:
+    """Whether this platform can fork snapshot workers."""
+    return hasattr(os, "fork")
+
+
 class PoolError(RuntimeError):
-    """A scatter could not complete on the worker pool."""
+    """A task could not complete on the worker pool."""
+
+
+class QueryWorkerError(Exception):
+    """A query raised inside a snapshot worker; ``kind`` names the
+    originating engine exception class."""
+
+    def __init__(self, kind: str, text: str) -> None:
+        super().__init__(f"{kind}: {text}")
+        self.kind = kind
+        self.text = text
 
 
 # ------------------------------------------------------- task handlers
@@ -133,13 +163,12 @@ class PoolError(RuntimeError):
 # A handler runs *inside a worker* against the forked database
 # snapshot.  It must be pure read-only and return a picklable value.
 #
-# Framing discipline: tasks carry the *partition index*, not the oid
-# slice -- the worker derives its slice from the snapshot it already
-# holds (same version as the parent's, so the derivation is
+# Framing discipline: scatter tasks carry the *partition index*, not
+# the oid slice -- the worker derives its slice from the snapshot it
+# already holds (same version as the parent's, so the derivation is
 # bit-identical), and scan results travel back as bare oid serials.
-# Shipping 6k OID dataclasses through a queue costs ~10ms of pickling;
-# 6k ints cost ~0.2ms, and at 100% selectivity that difference is the
-# speedup gate.
+# Shipping 6k OID dataclasses costs ~10ms of pickling; 6k ints cost
+# ~0.2ms, and at 100% selectivity that difference is the speedup gate.
 
 
 def _partition_oids(db: "TemporalDatabase", oids, index: int) -> list:
@@ -180,106 +209,225 @@ def _handle_integrity(db: "TemporalDatabase", payload: tuple) -> dict:
     }
 
 
+def _handle_query(db: "TemporalDatabase", text: str) -> list:
+    """One whole served query; results ship wire-encoded."""
+    from repro.database.persistence import encode_value
+    from repro.query.evaluator import evaluate
+    from repro.query.parser import parse_query
+
+    return [encode_value(oid) for oid in evaluate(db, parse_query(text))]
+
+
 _HANDLERS = {
     "scan": _handle_scan,
     "integrity": _handle_integrity,
+    "query": _handle_query,
 }
 
 
-def _worker_main(db: "TemporalDatabase", tasks, results) -> None:
-    # The fork inherited the parent's contextvars and switches; tracing
-    # inside the worker would only grow orphaned span trees in the
-    # child's copy, so turn it off for the worker's lifetime.
+# -------------------------------------------------------- worker side
+
+
+def _enter_worker(db: "TemporalDatabase", keep_fd: int) -> None:
+    """Child hygiene: make a freshly forked process a clean worker."""
+    # Tracing inside the worker would only grow orphaned span trees in
+    # the child's copy.  Inherited pools belong to the parent: drop the
+    # handles (while their descriptors are still open, so the objects
+    # close cleanly) and never scatter from inside a worker.  Workers
+    # are read-only, so they never touch the journal either.
     obs.set_enabled(False)
+    set_enabled(False)
+    db._parallel_pool = None
+    db._journal = None
+    # A serving parent routes SIGTERM/SIGINT into its event loop
+    # through the wakeup fd; a worker must die on them instead.
+    signal.set_wakeup_fd(-1)
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.SIG_DFL)
+    # Listeners, client sockets, other workers' pipes, the loop's
+    # selector: holding any of them would keep a peer from seeing the
+    # parent's death.  Keep stdio and our own pipe end.
+    os.closerange(3, keep_fd)
+    os.closerange(keep_fd + 1, os.sysconf("SC_OPEN_MAX"))
+
+
+def _worker_main(db: "TemporalDatabase", conn) -> None:
+    """Serve tasks until the parent's end of the pipe closes."""
     while True:
-        task = tasks.get()
-        if task is None:
-            return
-        task_id, index, kind, payload = task
+        try:
+            task_id, kind, payload = conn.recv()
+        except (EOFError, OSError):
+            return  # the pool was closed, or the parent died
         start_ns = time.perf_counter_ns()
         try:
             value = _HANDLERS[kind](db, payload)
             ok = True
         except Exception as exc:  # ship the failure to the parent
-            value = f"{type(exc).__name__}: {exc}"
+            value = (type(exc).__name__, str(exc))
             ok = False
         busy_us = (time.perf_counter_ns() - start_ns) // 1000
-        results.put((task_id, index, ok, value, busy_us))
+        try:
+            conn.send((task_id, ok, value, busy_us))
+        except OSError:
+            return
 
 
-# -------------------------------------------------------- worker pool
+def _fork_worker(db: "TemporalDatabase") -> tuple[int, Any]:
+    """Fork one worker; returns ``(pid, parent end of its pipe)``."""
+    parent_end, child_end = Pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        parent_end.close()
+        child_end.close()
+        raise
+    if pid == 0:  # pragma: no cover - runs in the child
+        code = 1
+        try:
+            _enter_worker(db, child_end.fileno())
+            _worker_main(db, child_end)
+            code = 0
+        finally:
+            os._exit(code)
+    child_end.close()
+    return pid, parent_end
 
 
-class WorkerPool:
-    """A fork-once pool of workers sharing one database snapshot.
+# ------------------------------------------------------------- the pool
 
-    The pool records the database's state version at fork time; callers
-    (:func:`pool_for`) compare it before every scatter and respawn on
-    mismatch, so workers only ever answer for the exact
-    generation/``now`` they hold.
+
+class SnapshotPool:
+    """Workers forked once over one pinned database snapshot.
+
+    *role* is ``"scatter"`` (scatter-gather, counted in
+    ``parallel.spawns``) or ``"serve"`` (served reads, counted per
+    worker in ``server.executor_forks``).
     """
 
-    __slots__ = (
-        "n_workers",
-        "version",
-        "broken",
-        "_tasks",
-        "_results",
-        "_workers",
-        "_seq",
-    )
-
-    def __init__(self, db: "TemporalDatabase", n_workers: int) -> None:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        self.n_workers = n_workers
+    def __init__(
+        self, db: "TemporalDatabase", n_workers: int, role: str = "scatter"
+    ) -> None:
+        if n_workers < 1:
+            raise ValueError("a snapshot pool needs at least one worker")
+        #: The state vector the forked snapshots hold.
         self.version = db._state_version()
-        self.broken = False
-        self._seq = 0
-        self._tasks = ctx.Queue()
-        self._results = ctx.Queue()
-        self._workers = [
-            ctx.Process(
-                target=_worker_main,
-                args=(db, self._tasks, self._results),
-                daemon=True,
-                name=f"repro-parallel-{index}",
-            )
-            for index in range(n_workers)
-        ]
-        for worker in self._workers:
-            worker.start()
-        _SPAWNS.add()
+        self._owner = os.getpid()
+        self._closed = False
+        self._retired = False
+        self._pids: list[int | None] = []
+        self._conns: list = []
+        self._idle: list[int] = []
+        self._inflight: dict[int, int] = {}
+        self._backlog: deque = deque()
+        self._futures: dict[int, asyncio.Future] = {}
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._ids = itertools.count(1)
+        try:
+            for index in range(n_workers):
+                pid, conn = _fork_worker(db)
+                self._pids.append(pid)
+                self._conns.append(conn)
+                self._idle.append(index)
+        except BaseException:
+            self.close()
+            raise
+        if role == "serve":
+            _FORKS.add(n_workers)
+        else:
+            _SPAWNS.add()
+
+    @property
+    def pids(self) -> list[int]:
+        """Process ids of the workers not yet reaped."""
+        return [pid for pid in self._pids if pid is not None]
 
     # -- lifecycle -----------------------------------------------------
 
     def alive(self) -> bool:
-        return not self.broken and all(
-            worker.is_alive() for worker in self._workers
-        )
+        """Usable: not closed or retired, and no worker has exited (a
+        pool that lost a worker closes itself)."""
+        if self._closed or self._retired:
+            return False
+        for index, pid in enumerate(self._pids):
+            try:
+                exited = os.waitpid(pid, os.WNOHANG)[0]
+            except ChildProcessError:
+                exited = True
+            if exited:
+                self._pids[index] = None
+                self.close()
+                return False
+        return True
+
+    def retire(self) -> None:
+        """Take no new work; release the workers once in-flight drains."""
+        self._retired = True
+        if not (self._inflight or self._backlog):
+            self.close()
 
     def close(self) -> None:
-        """Terminate the workers and release the queues."""
-        self.broken = True
-        for worker in self._workers:
-            if worker.is_alive():
-                worker.terminate()
-        for worker in self._workers:
-            worker.join(timeout=0.5)
-        for q in (self._tasks, self._results):
+        """Stop the workers and fail whatever is still pending."""
+        if self._closed:
+            return
+        self._closed = True
+        if os.getpid() != self._owner:
+            return  # an inherited copy inside a worker: not ours to stop
+        if self._loop is not None and not self._loop.is_closed():
+            for conn in self._conns:
+                self._loop.remove_reader(conn.fileno())
+        for conn in self._conns:
+            conn.close()
+        for index, pid in enumerate(self._pids):
+            if pid is None:
+                continue
+            # Read-only copies: nothing to flush, so no grace period.
             try:
-                q.close()
-                q.join_thread()
-            except Exception:  # pragma: no cover - teardown best effort
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
                 pass
+            self._pids[index] = None
+        futures = list(self._futures.values())
+        self._futures.clear()
+        for future in futures:
+            if not future.done():
+                future.set_exception(PoolError("snapshot pool closed"))
 
     def __del__(self) -> None:  # pragma: no cover - GC-timing dependent
         try:
-            if not self.broken:
-                self.close()
+            self.close()
         except Exception:
             pass
+
+    # -- framing -------------------------------------------------------
+
+    def _dispatch(self, kind: str, payload: Any) -> int:
+        """Queue one task; returns its id.  Raises :class:`PoolError`."""
+        task_id = next(self._ids)
+        self._backlog.append((task_id, kind, payload))
+        self._pump()
+        return task_id
+
+    def _pump(self) -> None:
+        """Hand backlogged tasks to idle workers."""
+        while self._backlog and self._idle:
+            index = self._idle.pop()
+            task = self._backlog.popleft()
+            self._inflight[index] = task[0]
+            try:
+                self._conns[index].send(task)
+            except (OSError, ValueError) as exc:
+                raise PoolError(f"worker {index} is gone: {exc}") from exc
+
+    def _receive(self, index: int) -> tuple:
+        """Read worker *index*'s result frame and mark it idle."""
+        try:
+            frame = self._conns[index].recv()
+        except (EOFError, OSError) as exc:
+            raise PoolError(f"worker {index} died mid-task") from exc
+        del self._inflight[index]
+        self._idle.append(index)
+        return frame
 
     # -- scatter-gather ------------------------------------------------
 
@@ -292,78 +440,122 @@ class WorkerPool:
         """Scatter *payloads* (one task each) and gather in order.
 
         Returns the per-payload results, index-aligned.  Raises
-        :class:`PoolError` on any worker failure; the pool is marked
-        broken then and the next :func:`pool_for` respawns it.
+        :class:`PoolError` on any worker failure; the pool is closed
+        then and the next :func:`snapshot_pool` replaces it.
         """
         if not self.alive():
-            self.broken = True
             raise PoolError("worker pool is not alive")
-        task_id = self._seq
-        self._seq += 1
         started_ns = time.perf_counter_ns()
-        if obs.is_enabled:
+        try:
             with obs.span(
                 "parallel.scatter", tasks=len(payloads), task_kind=kind
             ):
-                self._scatter(task_id, kind, payloads)
-        else:
-            self._scatter(task_id, kind, payloads)
-        try:
-            if obs.is_enabled:
-                with obs.span(
-                    "parallel.gather", tasks=len(payloads), task_kind=kind
-                ):
-                    results = self._gather(
-                        task_id, len(payloads), timeout
-                    )
-            else:
-                results = self._gather(task_id, len(payloads), timeout)
+                slots = {
+                    self._dispatch(kind, payload): position
+                    for position, payload in enumerate(payloads)
+                }
+            _TASKS.add(len(payloads))
+            with obs.span(
+                "parallel.gather", tasks=len(payloads), task_kind=kind
+            ):
+                results = self._gather(slots, timeout)
         except PoolError:
-            self.broken = True
+            self.close()
             raise
-        wall_us = (time.perf_counter_ns() - started_ns) // 1000
-        _WALL_US.add(wall_us)
+        _WALL_US.add((time.perf_counter_ns() - started_ns) // 1000)
         _QUERIES.add()
         return results
 
-    def _scatter(
-        self, task_id: int, kind: str, payloads: Sequence[tuple]
-    ) -> None:
-        for index, payload in enumerate(payloads):
-            self._tasks.put((task_id, index, kind, payload))
-            _TASKS.add()
-
-    def _gather(
-        self, task_id: int, n_tasks: int, timeout: float
-    ) -> list[Any]:
-        results: list[Any] = [None] * n_tasks
-        pending = n_tasks
+    def _gather(self, slots: dict[int, int], timeout: float) -> list[Any]:
+        results: list[Any] = [None] * len(slots)
         deadline = time.monotonic() + timeout
-        while pending:
-            try:
-                frame = self._results.get(timeout=0.05)
-            except queue_mod.Empty:
-                if not self.alive():
-                    raise PoolError("a worker died mid-scatter")
-                if time.monotonic() > deadline:
-                    raise PoolError(
-                        f"gather timed out after {timeout:.0f}s"
-                    )
-                continue
-            frame_task, index, ok, value, busy_us = frame
-            if frame_task != task_id:
-                continue  # stale frame from an abandoned scatter
-            if not ok:
-                raise PoolError(f"worker task failed: {value}")
-            _BUSY_US.add(busy_us)
-            if obs.is_enabled:
-                histogram("parallel.partition").record(busy_us)
-            results[index] = value
-            pending -= 1
+        while slots:
+            busy = [self._conns[index] for index in self._inflight]
+            ready = wait(busy, max(0.0, deadline - time.monotonic()))
+            if not ready:
+                raise PoolError(f"gather timed out after {timeout:.0f}s")
+            for conn in ready:
+                index = self._conns.index(conn)
+                task_id, ok, value, busy_us = self._receive(index)
+                if not ok:
+                    raise PoolError("worker task failed: %s: %s" % value)
+                _BUSY_US.add(busy_us)
+                if obs.is_enabled:
+                    histogram("parallel.partition").record(busy_us)
+                results[slots.pop(task_id)] = value
+            self._pump()
         return results
+
+    # -- served reads --------------------------------------------------
+
+    async def submit(self, kind: str, payload: Any) -> Any:
+        """Run one task on a worker and await its value.
+
+        Raises :class:`QueryWorkerError` when the task raised, and
+        :class:`PoolError` when the pool cannot answer (closed,
+        retired, or a worker died) -- the caller then runs inline.
+        """
+        if self._closed or self._retired:
+            raise PoolError("snapshot pool is closed")
+        loop = asyncio.get_running_loop()
+        if self._loop is None:
+            self._loop = loop
+            for index, conn in enumerate(self._conns):
+                loop.add_reader(conn.fileno(), self._on_readable, index)
+        future = loop.create_future()
+        try:
+            self._futures[self._dispatch(kind, payload)] = future
+        except PoolError:
+            self.close()
+            raise
+        _EXEC_QUERIES.add()
+        return await future
+
+    def _on_readable(self, index: int) -> None:
+        try:
+            task_id, ok, value, _busy_us = self._receive(index)
+            future = self._futures.pop(task_id, None)
+            if future is not None and not future.done():
+                if ok:
+                    future.set_result(value)
+                else:
+                    future.set_exception(QueryWorkerError(*value))
+            self._pump()
+        except PoolError:
+            self.close()  # fails the rest; the next read respawns
+            return
+        if self._retired and not self._inflight and not self._backlog:
+            self.close()
 
 
 # ------------------------------------------------------ orchestration
+
+
+def snapshot_pool(
+    db: "TemporalDatabase",
+    current: SnapshotPool | None,
+    n_workers: int,
+    role: str = "scatter",
+) -> SnapshotPool | None:
+    """A live pool pinned to *db*'s current state.
+
+    Returns *current* when it is alive and its pin still matches
+    ``db._state_version()``; otherwise retires it and forks a fresh
+    pool.  Returns ``None`` when no pool can be forked.  Call it with
+    no await between this and the dispatch, so the pin cannot move.
+    """
+    if (
+        current is not None
+        and current.version == db._state_version()
+        and current.alive()
+    ):
+        return current
+    if current is not None:
+        current.retire()
+    try:
+        return SnapshotPool(db, n_workers, role)
+    except OSError:
+        return None
 
 
 def usable(db: "TemporalDatabase") -> bool:
@@ -381,9 +573,7 @@ def usable(db: "TemporalDatabase") -> bool:
         return False
     if db.partitioning.n_partitions < 2:
         return False
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
+    return fork_available()
 
 
 def plan_degree(
@@ -413,37 +603,31 @@ def plan_degree(
     return degree, cost_parallel
 
 
-def pool_for(db: "TemporalDatabase") -> WorkerPool | None:
-    """The database's worker pool, (re)spawned as needed.
-
-    Reuses the existing pool when it is alive and its snapshot version
-    still matches the database; respawns on staleness or breakage.
-    Returns ``None`` when a pool cannot be spawned at all.
-    """
-    if not usable(db):
-        return None
-    pool: WorkerPool | None = getattr(db, "_parallel_pool", None)
-    version = db._state_version()
-    if pool is not None and pool.alive() and pool.version == version:
-        return pool
-    if pool is not None:
-        pool.close()
-        db._parallel_pool = None
-    try:
-        pool = WorkerPool(db, db.partitioning.n_partitions)
-    except Exception:
-        _FALLBACKS.add()
-        return None
-    db._parallel_pool = pool
-    return pool
-
-
 def shutdown(db: "TemporalDatabase") -> None:
-    """Tear down the database's worker pool, if any."""
+    """Tear down the database's scatter-gather pool, if any."""
     pool = getattr(db, "_parallel_pool", None)
     if pool is not None:
         pool.close()
         db._parallel_pool = None
+
+
+def _scatter(
+    db: "TemporalDatabase", kind: str, payloads: list[tuple]
+) -> list | None:
+    """Run *payloads* on the database's pool; ``None`` = go serial."""
+    pool = None
+    if usable(db):
+        pool = db._parallel_pool = snapshot_pool(
+            db, db._parallel_pool, db.partitioning.n_partitions
+        )
+    if pool is None:
+        _FALLBACKS.add()
+        return None
+    try:
+        return pool.run(kind, payloads)
+    except PoolError:
+        _FALLBACKS.add()
+        return None
 
 
 def scan_query(db: "TemporalDatabase", query, plan) -> list | None:
@@ -458,25 +642,17 @@ def scan_query(db: "TemporalDatabase", query, plan) -> list | None:
     """
     from repro.query.ast import TemporalScope
 
-    pool = pool_for(db)
-    if pool is None:
-        _FALLBACKS.add()
-        return None
-    now = db.now
-    anchor = query.at if query.scope is TemporalScope.AT else now
+    anchor = query.at if query.scope is TemporalScope.AT else db.now
     extent = db.anchor_extent(query.class_name, anchor)
-    buckets = db.partitioning.split(extent)
     payloads = [
         (query, index)
-        for index, bucket in enumerate(buckets)
+        for index, bucket in enumerate(db.partitioning.split(extent))
         if bucket
     ]
     if not payloads:
         return []
-    try:
-        slices = pool.run("scan", payloads)
-    except PoolError:
-        _FALLBACKS.add()
+    slices = _scatter(db, "scan", payloads)
+    if slices is None:
         return None
     by_serial = {oid.serial: oid for oid in extent}
     return [
@@ -497,18 +673,11 @@ def integrity_scatter(
     """
     if len(oids) < MIN_PARALLEL_ITEMS:
         return None
-    pool = pool_for(db)
-    if pool is None:
-        _FALLBACKS.add()
-        return None
-    buckets = db.partitioning.split(oids)
     payloads = [
-        (index,) for index, bucket in enumerate(buckets) if bucket
+        (index,)
+        for index, bucket in enumerate(db.partitioning.split(oids))
+        if bucket
     ]
     if not payloads:
         return []
-    try:
-        return pool.run("integrity", payloads)
-    except PoolError:
-        _FALLBACKS.add()
-        return None
+    return _scatter(db, "integrity", payloads)

@@ -519,7 +519,10 @@ def open_database(
         journal.truncate_tail(_committed_end(fs, journal_path))
     elif report.salvaged_tail:
         journal.truncate_tail(report.valid_end)
-    journal.set_next_lsn(report.last_lsn + 1)
+    # Past every frame still on disk (commit markers included, which
+    # ``last_lsn`` -- the last *data* record -- does not count), and
+    # past the checkpoint when the journal was truncated empty.
+    journal.set_next_lsn(max(journal.next_lsn, report.last_lsn + 1))
     db.attach_journal(journal, genesis=False)
     return db, report
 

@@ -308,13 +308,19 @@ class Journal:
             self.fs.write(self.path, MAGIC)
             self._fsync()
         else:
-            # Resume the LSN sequence past the existing valid prefix so
-            # a bare ``Journal(path)`` on a pre-existing file never
-            # mints duplicate LSNs (duplicates would collide with the
-            # ``lsn <= checkpoint_lsn`` skip filter during recovery).
-            for frame in iter_frames(self.path, fs=self.fs):
-                if frame.lsn >= self._next_lsn:
-                    self._next_lsn = frame.lsn + 1
+            self._resume_lsn()
+
+    def _resume_lsn(self) -> None:
+        """Resume the LSN sequence past every frame on disk.
+
+        Markers count: a batch's trailing ``commit`` has its own LSN,
+        and reusing it would give two frames one transaction time (and
+        collide with the ``lsn <= checkpoint_lsn`` skip filter during
+        recovery)."""
+        self._next_lsn = 1
+        for frame in iter_frames(self.path, fs=self.fs):
+            if frame.lsn >= self._next_lsn:
+                self._next_lsn = frame.lsn + 1
 
     # -- positioning ----------------------------------------------------------
 
@@ -508,6 +514,7 @@ class Journal:
         """Cut a corrupt tail off at *valid_end* (post-salvage repair)."""
         self.fs.truncate(self.path, max(valid_end, len(MAGIC)))
         self._fsync()
+        self._resume_lsn()
 
     # -- checkpointing -----------------------------------------------------------
 

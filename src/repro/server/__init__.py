@@ -15,12 +15,12 @@ Public surface::
             client.query("select employee where salary > 2000")
 """
 
-from repro.server.client import ServerClient
-from repro.server.executor import (
+from repro.database.parallel import (
     QueryWorkerError,
-    SnapshotExecutor,
+    SnapshotPool,
     fork_available,
 )
+from repro.server.client import ServerClient
 from repro.server.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
@@ -44,7 +44,7 @@ __all__ = [
     "ProtocolError",
     "QueryWorkerError",
     "ServerClient",
-    "SnapshotExecutor",
+    "SnapshotPool",
     "TemporalServer",
     "decode_op",
     "decode_result",

@@ -5,9 +5,11 @@ speaks the newline-JSON protocol of :mod:`repro.server.protocol` over
 TCP.  Concurrency model (docs/server.md):
 
 * **reads never block writers.**  Each ``query`` acquires a per-request
-  :class:`~repro.database.mvcc.ReadView`; when the snapshot executor is
-  available the query runs in a version-pinned forked worker on another
-  core, otherwise inline under the view's overlays.  With MVCC ablated
+  :class:`~repro.database.mvcc.ReadView`; when a snapshot pool
+  (:class:`~repro.database.parallel.SnapshotPool`, the same fork-once
+  pool scatter-gather uses) can be forked the query runs in a
+  version-pinned worker on another core, otherwise inline under the
+  view's overlays.  With MVCC ablated
   (``REPRO_NO_MVCC``) reads take the global writer lock instead --
   the readers-block-writers baseline the E18 benchmark measures.
 * **writes serialize through the WAL.**  Auto-commit ``exec`` requests
@@ -28,7 +30,8 @@ TCP.  Concurrency model (docs/server.md):
   responses and counted in ``server.rejections``.
 * **graceful drain.**  ``stop()`` closes the listener, lets in-flight
   requests finish within ``drain_timeout``, rolls back orphaned
-  transactions, flushes the write queue, and retires the executor.
+  transactions, flushes the write queue, and releases every snapshot
+  worker the server forked.
 
 Crash-point knobs for the fault harness
 (:func:`repro.faults.server.run_server_trial`):
@@ -45,20 +48,17 @@ import asyncio
 import os
 import re
 import threading
+import traceback
 import weakref
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro import perf
 from repro.database import mvcc as mvcc_mod
+from repro.database import parallel
 from repro.database.transactions import Transaction
 from repro.errors import ServerError, TChimeraError
 from repro.obs import spans as obs
 from repro.server import protocol
-from repro.server.executor import (
-    QueryWorkerError,
-    SnapshotExecutor,
-    fork_available,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.database.database import TemporalDatabase
@@ -69,6 +69,11 @@ _WRITES = perf.metric("server.writes")
 _SESSIONS = perf.metric("server.sessions")
 _REJECTIONS = perf.metric("server.rejections")
 _GROUP_COMMITS = perf.metric("server.group_commits")
+_INTERNAL_ERRORS = perf.metric("server.internal_errors")
+
+#: The traceback of the most recent unexpected exception a request
+#: handler raised (``stats()["last_internal_error"]``).
+_last_internal_error: str | None = None
 
 #: Live servers in this process (for the aggregate :func:`stats`).
 _SERVERS: "weakref.WeakSet[TemporalServer]" = weakref.WeakSet()
@@ -102,6 +107,8 @@ def stats() -> dict:
         "group_commits": _GROUP_COMMITS.count,
         "inflight_reads": sum(s._inflight_reads for s in servers),
         "mvcc_enabled": mvcc_mod.is_enabled,
+        "internal_errors": _INTERNAL_ERRORS.count,
+        "last_internal_error": _last_internal_error,
     }
 
 
@@ -141,7 +148,7 @@ class TemporalServer:
         self._sessions: set["_Session"] = set()
         self._draining = False
         self._inflight_reads = 0
-        self._executor: SnapshotExecutor | None = None
+        self._pool: parallel.SnapshotPool | None = None
         self._write_lock = asyncio.Lock()
         self._writes: list[tuple[tuple, asyncio.Future]] = []
         self._write_event = asyncio.Event()
@@ -204,9 +211,13 @@ class TemporalServer:
                 await self._writer_task
             except asyncio.CancelledError:
                 pass
-        if self._executor is not None:
-            self._executor.retire()
-            self._executor = None
+        # Every session is gone, so nothing awaits the read pool; the
+        # scatter pool was forked here by inline reads.  Release both
+        # so no worker outlives the server.
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
+        parallel.shutdown(self.db)
         _SERVERS.discard(self)
 
     # -- connections ------------------------------------------------------
@@ -247,35 +258,6 @@ class TemporalServer:
 
     # -- reads ------------------------------------------------------------
 
-    def _ensure_executor(self) -> SnapshotExecutor | None:
-        """A version-matched executor, respawning after writes.
-
-        Must be called with no awaits between the version read and the
-        dispatch (single event-loop discipline keeps that atomic).
-        """
-        if self.read_workers < 1 or not fork_available():
-            return None
-        db = self.db
-        if db.in_batch or db._txn_active:
-            return None
-        version = db._state_version()
-        executor = self._executor
-        if (
-            executor is not None
-            and executor.version == version
-            and executor.alive
-        ):
-            return executor
-        if executor is not None:
-            executor.retire()
-            self._executor = None
-        try:
-            executor = SnapshotExecutor(db, self.read_workers)
-        except Exception:
-            return None
-        self._executor = executor
-        return executor
-
     async def _run_query(self, text: str, as_of: int | None = None) -> dict:
         db = self.db
         _READS.add()
@@ -311,8 +293,13 @@ class TemporalServer:
                 # queue behind it and read the committed state.
                 async with self._write_lock:
                     return self._inline_query(text)
-            executor = self._ensure_executor()
-            if executor is not None:
+            if self.read_workers >= 1 and parallel.fork_available():
+                # No await between the pin check and the dispatch: the
+                # pool cannot go stale in between.
+                self._pool = parallel.snapshot_pool(
+                    db, self._pool, self.read_workers, "serve"
+                )
+            if self._pool is not None:
                 # The fork *is* the snapshot: pin the version through
                 # the view API, then hand off -- no copy-on-write
                 # overlays needed while the query runs off-loop.
@@ -320,16 +307,14 @@ class TemporalServer:
                 pinned_now = view.now
                 view.close()
                 try:
-                    encoded = await executor.run(text)
+                    encoded = await self._pool.submit("query", text)
                     return {
                         "oids": encoded,
                         "count": len(encoded),
                         "now": pinned_now,
                     }
-                except QueryWorkerError:
-                    raise
-                except (RuntimeError, OSError):
-                    pass  # executor torn down underneath us: fall back
+                except parallel.PoolError:
+                    pass  # pool torn down underneath us: fall back
             with db.mvcc.acquire() as fallback_view:
                 oids = fallback_view.execute(text)
                 from repro.database.persistence import encode_value
@@ -664,9 +649,10 @@ class _Session:
             )
         except _Overloaded as exc:
             return _error(request_id, exc, retry=True)
-        except (TChimeraError, QueryWorkerError) as exc:
+        except (TChimeraError, parallel.QueryWorkerError) as exc:
             return _error(request_id, exc)
         except Exception as exc:  # engine invariant: never kill the session
+            _note_internal_error()
             return _error(request_id, exc)
 
     async def _exec(self, request_id: Any, message: dict) -> dict:
@@ -727,6 +713,13 @@ def _ok(request_id: Any, result: Any) -> dict:
     return {"id": request_id, "ok": True, "result": result}
 
 
+def _note_internal_error() -> None:
+    """Count the exception being handled and keep its traceback."""
+    global _last_internal_error
+    _INTERNAL_ERRORS.add()
+    _last_internal_error = traceback.format_exc()
+
+
 def _error(request_id: Any, exc: Exception, retry: bool = False) -> dict:
     # QueryWorkerError/ServerError carry the originating engine
     # exception class in .kind; surface that, not the wrapper.
@@ -763,6 +756,7 @@ class BackgroundServer:
         self._db = db
         self._kwargs = kwargs
         self._loop: asyncio.AbstractEventLoop | None = None
+        self._stopping: asyncio.Event | None = None
         self._server: TemporalServer | None = None
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
@@ -782,40 +776,33 @@ class BackgroundServer:
         return self
 
     def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
+        asyncio.run(self._main())
 
-        async def _main() -> None:
-            try:
-                self._server = TemporalServer(self._db, **self._kwargs)
-                self.host, self.port = await self._server.start()
-            except BaseException as exc:
-                self._failure = exc
-                self._ready.set()
-                return
-            self._ready.set()
-            await self._server.serve_forever()
-
+    async def _main(self) -> None:
+        """Serve until :meth:`stop` sets the event, then drain."""
+        self._loop = asyncio.get_running_loop()
+        self._stopping = asyncio.Event()
         try:
-            loop.run_until_complete(_main())
-            loop.run_forever()
+            self._server = TemporalServer(self._db, **self._kwargs)
+            self.host, self.port = await self._server.start()
+        except BaseException as exc:
+            self._failure = exc
+            return
         finally:
-            loop.close()
+            self._ready.set()
+        await self._stopping.wait()
+        await self._server.stop()
 
     def stop(self) -> None:
-        loop, server = self._loop, self._server
-        if loop is None or not loop.is_running():
+        """Drain the server and join its thread."""
+        if self._thread is None:
             return
-
-        async def _shutdown() -> None:
-            if server is not None:
-                await server.stop()
-            asyncio.get_running_loop().stop()
-
-        asyncio.run_coroutine_threadsafe(_shutdown(), loop)
-        if self._thread is not None:
-            self._thread.join(timeout=15)
+        if self._loop is not None:
+            try:
+                self._loop.call_soon_threadsafe(self._stopping.set)
+            except RuntimeError:
+                pass  # the loop already finished (start failed)
+        self._thread.join(timeout=15)
 
     @property
     def server(self) -> TemporalServer:

@@ -159,6 +159,46 @@ class TestHeadAndMemo:
         assert len(head_extent) == 4
 
 
+class TestReopen:
+    """Transaction time survives ``open_database``: the trailing commit
+    marker of a batch keeps its LSN, and the next append goes past it."""
+
+    def _grow_with_batch(self):
+        db, fs, _ = grow()
+        with db.batch():
+            db.create_object("person", {"name": "late", "score": 1})
+            db.create_object("person", {"name": "later", "score": 2})
+        return db, fs
+
+    def test_lsns_stay_strictly_increasing_across_reopen(self):
+        from repro.database.wal import iter_frames
+
+        db, fs = self._grow_with_batch()
+        marker = db.journal.last_lsn
+        reopened, _ = open_database("/db", fs=fs)
+        assert reopened.journal.last_lsn == marker
+        reopened.tick()
+        frames = [
+            (frame.lsn, frame.kind)
+            for frame in iter_frames("/db/journal.wal", fs=fs)
+        ]
+        assert (marker, "commit") in frames
+        lsns = [lsn for lsn, _ in frames]
+        assert lsns == sorted(set(lsns)), frames
+
+    def test_as_of_commit_marker_after_reopen_equals_restore_to(self):
+        from repro.replication.pitr import restore_to
+
+        db, fs = self._grow_with_batch()
+        marker = db.journal.last_lsn
+        reopened, _ = open_database("/db", fs=fs)
+        reopened.tick()  # the marker is no longer the head
+        believed = reopened.as_of(marker)
+        restored, _ = restore_to("/db", lsn=marker, fs=fs)
+        assert believed.now == restored.now == db.now
+        assert db_names(believed) == db_names(restored) == db_names(db)
+
+
 def db_names(db) -> set:
     return {
         db.get_object(oid).value["name"]

@@ -14,7 +14,9 @@ extents a test can afford (and on single-core CI machines).
 
 from __future__ import annotations
 
+import os
 import random
+import signal
 import subprocess
 import sys
 
@@ -47,6 +49,14 @@ def _spawns() -> int:
 
 def _fallbacks() -> int:
     return perf.counters.metric("parallel.fallbacks").count
+
+
+def _kill_workers(pool: parallel.SnapshotPool) -> None:
+    """SIGKILL every worker and wait for it to exit, leaving the
+    zombie for the pool to reap (it owns the children)."""
+    for pid in pool.pids:
+        os.kill(pid, signal.SIGKILL)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
 
 
 @pytest.fixture
@@ -197,9 +207,7 @@ class TestPoolLifecycle:
             with parallel.disabled():
                 expected = evaluate(db, query)
             assert evaluate(db, query) == expected  # spawns the pool
-            for worker in db._parallel_pool._workers:
-                worker.kill()
-                worker.join()
+            _kill_workers(db._parallel_pool)
             # A crash *between* scatters is repaired, not fallen back
             # from: the next query detects the dead pool and reforks.
             spawned, before = _spawns(), _fallbacks()
@@ -218,20 +226,19 @@ class TestPoolLifecycle:
             with parallel.disabled():
                 expected = evaluate(db, query)
             assert evaluate(db, query) == expected  # spawns the pool
-            for worker in db._parallel_pool._workers:
-                worker.kill()
-                worker.join()
-            # Hide the corpse from the pre-scatter liveness check so
-            # the death is only discovered mid-gather -- the moment a
-            # worker could really die under a live scatter.
-            real_alive = parallel.WorkerPool.alive
+            _kill_workers(db._parallel_pool)
+            # Hide the corpse from both pre-scatter liveness checks
+            # (the reuse decision and the run itself) so the death is
+            # only discovered mid-scatter -- the moment a worker could
+            # really die under a live scatter.
+            real_alive = parallel.SnapshotPool.alive
             calls = {"n": 0}
 
             def flaky_alive(pool):
                 calls["n"] += 1
-                return True if calls["n"] <= 1 else real_alive(pool)
+                return True if calls["n"] <= 2 else real_alive(pool)
 
-            monkeypatch.setattr(parallel.WorkerPool, "alive", flaky_alive)
+            monkeypatch.setattr(parallel.SnapshotPool, "alive", flaky_alive)
             before = _fallbacks()
             assert evaluate(db, query) == expected
             assert _fallbacks() > before

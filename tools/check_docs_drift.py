@@ -59,7 +59,6 @@ def _known_names() -> tuple[set, set, set]:
     import repro.query.planner  # noqa: F401
     import repro.replication.replica  # noqa: F401
     import repro.replication.shipper  # noqa: F401
-    import repro.server.executor  # noqa: F401
     import repro.server.server  # noqa: F401
     import repro.temporal.temporalvalue  # noqa: F401
     import repro.types.subtyping  # noqa: F401
